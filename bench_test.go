@@ -13,7 +13,7 @@
 //
 // cmd/lci-bench, cmd/lci-resources, cmd/lci-kmer and cmd/lci-octo run the
 // same experiments at larger scales and print the series the paper plots;
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// README.md records the paper-vs-measured shapes and the gates that hold them.
 package lci_test
 
 import (

@@ -59,6 +59,12 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 	// on the shared-queue path that is regularly a different thread.
 	pongs := make([]atomic.Int64, threads)
 	var done atomic.Bool // initiator finished; responders may stop serving
+	// finished counts initiator pairs whose round trips are all done. On
+	// the cqshim path a responder replies through whichever device its
+	// popping thread owns, so a pong for pair t can land on another
+	// pair's device: every initiator thread keeps serving its device
+	// until all pairs have finished, not just its own.
+	var finished atomic.Int64
 	var elapsed time.Duration
 
 	err := w.Launch(func(rt *lci.Runtime) error {
@@ -156,6 +162,13 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 							if miss&63 == 63 {
 								runtime.Gosched() // oversubscription fairness
 							}
+						}
+					}
+					finished.Add(1)
+					for miss := 0; finished.Load() < int64(threads); miss++ {
+						serve()
+						if miss&63 == 63 {
+							runtime.Gosched()
 						}
 					}
 					return

@@ -10,6 +10,32 @@
 // the owner's thread even while foreign progress threads signal
 // completions.
 //
+// # Built once, relaunched per call
+//
+// A Comm builds each graph once per shape and relaunches it (comp.Graph
+// Reset + Start) for every later call of that shape, the way a CUDA
+// graph is captured once and launched many times. The shape — the key
+// instances are kept under — is (kind, algorithm, root, whether a
+// resync-barrier prefix is present): exactly what the DAG depends on.
+// Message size is not in it: nodes name buffers by slot (send, receive,
+// allgather block, round scratch) and resolve them, with the call's
+// epoch tags, options, handle and combiner, from a frame the instance
+// owns and the owner rewrites before each launch; round scratch grows to
+// the largest size seen. So a size sweep relaunches one instance, and a
+// shape never holds more instances than it has had calls outstanding at
+// once — at most the age cap (resyncEvery) — however many sizes pass
+// through it. Instances are built on a shape's first call, not at New.
+//
+// A finished instance is re-armed only after its graph's pending count
+// reads zero. That means no Signal can still touch its nodes: each node
+// is signaled once per launch by the operation it posted, and a node's
+// completion decrements pending before releasing its children, none of
+// which can finish before being released — so at zero every release has
+// happened and every posted operation has completed, its buffers
+// included. Handle.Test copies the call's outcome onto the handle
+// before handing the instance back, so Err still answers for that call
+// after a later one has relaunched the graph.
+//
 // # Tag-window layout
 //
 // Collective traffic matches on a dedicated engine, never colliding with
@@ -25,8 +51,8 @@
 // call refuses to build while a call issued resyncEvery = 32 or more
 // calls ago is still unfinished — Comm.checkAge; an abandoned handle's
 // parked receives would otherwise cross-match a recycled tag), and
-// every resyncEvery calls of a kind the builder prepends a
-// dissemination-barrier subgraph that the collective's entry nodes
+// every resyncEvery calls of a kind the call runs the shape's variant
+// with a dissemination-barrier prefix that the collective's entry nodes
 // depend on.
 //
 // Safety derivation — a tag of call j is reused at call j+128; when any
@@ -54,7 +80,6 @@ import (
 	"lci/internal/base"
 	"lci/internal/comp"
 	"lci/internal/core"
-	"lci/internal/spin"
 )
 
 // Kind enumerates the collective types, each owning a tag window.
@@ -178,6 +203,11 @@ type Comm struct {
 	// inside a blocking collective would stall, deadlocking overlap
 	// patterns the outstanding machinery expressly permits.
 	live []*Handle
+	// idle holds each shape's finished instances, ready to relaunch.
+	// Instances are built on a shape's first call; a shape never holds
+	// more than its peak number of simultaneously outstanding calls,
+	// which the age cap bounds at resyncEvery.
+	idle map[shape]*idleList
 
 	// Blocking-barrier scratch: the dissemination rounds reuse these two
 	// counters (Reset between rounds) and one-byte buffers instead of
@@ -197,7 +227,7 @@ type Comm struct {
 // matching engine. Call it at the same point of runtime construction on
 // every rank so the engine's wire id matches.
 func New(rt *core.Runtime) *Comm {
-	return &Comm{rt: rt, me: rt.NewMatchingEngine(64)}
+	return &Comm{rt: rt, me: rt.NewMatchingEngine(64), idle: make(map[shape]*idleList)}
 }
 
 // Runtime returns the underlying runtime.
@@ -266,8 +296,8 @@ func (c *Comm) drainLive(o core.Options, self *Handle) {
 		if h == self || !h.started {
 			continue
 		}
-		if h.o.Affinity == o.Affinity && h.o.Worker == o.Worker {
-			h.g.Drain()
+		if h.in.o.Affinity == o.Affinity && h.in.o.Worker == o.Worker {
+			h.in.g.Drain()
 		}
 	}
 }
@@ -388,35 +418,32 @@ func (c *Comm) Barrier(o core.Options) error {
 	return nil
 }
 
-// Handle is a nonblocking collective: a started completion graph the
-// caller polls. Test drains deferred posts and reports completion; Wait
-// blocks, progressing the collective's resources. The handle belongs to
-// the thread that issued the collective.
+// Handle is a nonblocking collective: one launch of a completion graph
+// the caller polls. Test drains deferred posts and reports completion;
+// Wait blocks, progressing the collective's resources. The handle belongs
+// to the thread that issued the collective. It holds its graph instance
+// only while the call is unfinished: Test hands the instance back for
+// the shape's next call once it has copied the call's outcome.
 type Handle struct {
-	c        *Comm
-	kind     Kind
-	g        *comp.Graph
-	o        core.Options
-	seq      int // call sequence number (retired from outstanding on finish)
-	bseq     int // embedded resync barrier's sequence number (-1 if none)
-	started  bool
-	finished bool
-
-	errMu spin.Mutex
-	err   error
+	c       *Comm
+	kind    Kind
+	in      *instance // nil once finished
+	seq     int       // call sequence number (retired from outstanding on finish)
+	bseq    int       // embedded resync barrier's sequence number (-1 if none)
+	started bool
+	err     error // the call's first posting error, then its outcome
 }
 
 // Kind returns the collective's kind.
 func (h *Handle) Kind() Kind { return h.kind }
 
 // fail records the first posting error; the failing node completes so the
-// graph can drain and Wait can surface the error.
+// graph can drain and Wait can surface the error. Op nodes post from the
+// owner's Start/Test/Drain calls only, so no lock is needed.
 func (h *Handle) fail(err error) {
-	h.errMu.Lock()
 	if h.err == nil {
 		h.err = err
 	}
-	h.errMu.Unlock()
 }
 
 // Err returns the first error any of the collective's operations hit:
@@ -425,13 +452,10 @@ func (h *Handle) fail(err error) {
 // by the graph's abort cascade. A failed collective still completes —
 // Wait returns, never hangs — with this error.
 func (h *Handle) Err() error {
-	h.errMu.Lock()
-	err := h.err
-	h.errMu.Unlock()
-	if err != nil {
-		return err
+	if h.err == nil && h.in != nil {
+		return h.in.g.Err()
 	}
-	return h.g.Err()
+	return h.err
 }
 
 // Start launches the collective: the graph's root operations post from
@@ -441,7 +465,7 @@ func (h *Handle) Start() error {
 		return fmt.Errorf("%w: collective already started", core.ErrInvalidArgument)
 	}
 	h.started = true
-	h.g.Start()
+	h.in.g.Start()
 	return nil
 }
 
@@ -454,19 +478,26 @@ func (h *Handle) Test() bool {
 	if !h.started {
 		return false
 	}
-	if h.finished {
+	in := h.in
+	if in == nil {
 		return true
 	}
 	h.c.checkDead()
-	if !h.g.Test() {
+	if !in.g.Test() {
 		return false
 	}
-	h.finished = true
+	// The instance goes back to its idle list and a later call may
+	// relaunch it: keep this call's outcome on the handle.
+	if h.err == nil {
+		h.err = in.g.Err()
+	}
+	h.in = nil
 	h.c.retire(h.kind, h.seq)
 	if h.bseq >= 0 {
 		h.c.retire(KindBarrier, h.bseq)
 	}
 	h.c.unlive(h)
+	in.release()
 	return true
 }
 
@@ -479,19 +510,24 @@ func (h *Handle) Wait() error {
 		}
 	}
 	var pr progressor
+	in := h.in // nil if already finished: Test then reports true at once
 	for !h.Test() {
-		pr.step(h.c.rt, h.o)
-		h.c.drainLive(h.o, h)
+		pr.step(h.c.rt, in.o)
+		h.c.drainLive(in.o, h)
 	}
 	return h.Err()
 }
 
-// newBuilder allocates the epoch and graph for one collective call,
-// prepending the resync-barrier subgraph when the kind's tag window is
-// about to be reentered (see the package comment for the invariant). It
-// refuses to build while a too-old call of the kind (or of the barrier
-// kind, whose tags every resync subgraph shares) is still outstanding.
-func (c *Comm) newBuilder(kind Kind, o core.Options) (*builder, error) {
+// newCall admits one collective call of the given shape: it enforces
+// the age caps, allocates the call's epoch — and, when the kind's tag
+// window is about to be reentered, a resync-barrier prefix's (see the
+// package comment for the invariant) — and takes an idle instance of the
+// shape, building one on the shape's first call. It refuses while a
+// too-old call of the kind (or of the barrier kind, whose tags every
+// resync prefix shares) is still outstanding. The caller points the
+// instance's frame at the call's buffers before returning its handle.
+func (c *Comm) newCall(key shape, o core.Options) (*instance, error) {
+	kind := key.kind
 	if err := c.checkAge(kind); err != nil {
 		return nil, err
 	}
@@ -501,33 +537,32 @@ func (c *Comm) newBuilder(kind Kind, o core.Options) (*builder, error) {
 		}
 	}
 	c.prep(&o)
-	g := comp.NewGraph()
-	g.SetDeferOps()
-	h := &Handle{c: c, kind: kind, o: o, g: g, bseq: -1}
-	seq := c.allocEpoch(kind)
-	h.seq = seq
-	b := &builder{h: h, epoch: seq % epochWindow}
-	if kind != KindBarrier && seq > 0 && seq%resyncEvery == 0 {
+	h := &Handle{c: c, kind: kind, seq: c.allocEpoch(kind), bseq: -1}
+	key.resync = kind != KindBarrier && h.seq > 0 && h.seq%resyncEvery == 0
+	in := c.acquire(key)
+	if key.resync {
 		h.bseq = c.allocEpoch(KindBarrier)
 		c.outstanding[KindBarrier] = append(c.outstanding[KindBarrier], h.bseq)
-		b.entry = b.barrierRounds(h.bseq%epochWindow, nil)
+		in.bepoch = h.bseq % epochWindow
 	}
-	c.outstanding[kind] = append(c.outstanding[kind], seq)
+	in.h, in.o, in.epoch = h, o, h.seq%epochWindow
+	h.in = in
+	c.outstanding[kind] = append(c.outstanding[kind], h.seq)
 	c.live = append(c.live, h)
-	return b, nil
+	return in, nil
 }
 
 // IBarrier returns a nonblocking barrier.
 func (c *Comm) IBarrier(o core.Options) (*Handle, error) {
-	if _, err := pickBarrier(o.CollAlgorithm); err != nil {
-		return nil, err
-	}
-	b, err := c.newBuilder(KindBarrier, o)
+	alg, err := pickBarrier(o.CollAlgorithm)
 	if err != nil {
 		return nil, err
 	}
-	b.barrierRounds(b.epoch, b.entry)
-	return b.h, nil
+	in, err := c.newCall(shape{kind: KindBarrier, alg: alg}, o)
+	if err != nil {
+		return nil, err
+	}
+	return in.h, nil
 }
 
 // IBcast returns a nonblocking broadcast of buf from root.
@@ -540,12 +575,11 @@ func (c *Comm) IBcast(buf []byte, root int, o core.Options) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := c.newBuilder(KindBcast, o)
+	in, err := c.newCall(shape{kind: KindBcast, alg: alg, root: root}, o)
 	if err != nil {
 		return nil, err
 	}
-	b.bcast(buf, root, alg, 0, b.entry)
-	return b.h, nil
+	return in.frame(buf, buf, nil), nil
 }
 
 // Broadcast is the blocking form of IBcast.
@@ -565,7 +599,7 @@ func (c *Comm) IReduce(send, recv []byte, dt Datatype, op Op, root int, o core.O
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("%w: reduce root %d out of range [0,%d)", core.ErrInvalidArgument, root, n)
 	}
-	acc, cmb, err := c.reduceArgs(send, recv, dt, op, c.rt.Rank() == root)
+	cmb, err := reduceArgs(send, recv, dt, op, c.rt.Rank() == root)
 	if err != nil {
 		return nil, err
 	}
@@ -573,12 +607,11 @@ func (c *Comm) IReduce(send, recv []byte, dt Datatype, op Op, root int, o core.O
 	if err != nil {
 		return nil, err
 	}
-	b, err := c.newBuilder(KindReduce, o)
+	in, err := c.newCall(shape{kind: KindReduce, alg: alg, root: root}, o)
 	if err != nil {
 		return nil, err
 	}
-	b.reduce(send, acc, cmb, root, alg, 0, b.entry)
-	return b.h, nil
+	return in.frame(send, recv, cmb), nil
 }
 
 // Reduce is the blocking form of IReduce.
@@ -593,21 +626,19 @@ func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int, o core.Op
 // IAllreduce returns a nonblocking all-reduce of send into recv (every
 // rank gets the reduction). len(recv) must equal len(send).
 func (c *Comm) IAllreduce(send, recv []byte, dt Datatype, op Op, o core.Options) (*Handle, error) {
-	acc, cmb, err := c.reduceArgs(send, recv, dt, op, true)
+	cmb, err := reduceArgs(send, recv, dt, op, true)
 	if err != nil {
 		return nil, err
 	}
-	n := c.rt.NumRanks()
-	alg, err := pickAllreduce(o.CollAlgorithm, n, len(send))
+	alg, err := pickAllreduce(o.CollAlgorithm, c.rt.NumRanks(), len(send))
 	if err != nil {
 		return nil, err
 	}
-	b, err := c.newBuilder(KindAllreduce, o)
+	in, err := c.newCall(shape{kind: KindAllreduce, alg: alg}, o)
 	if err != nil {
 		return nil, err
 	}
-	b.allreduce(send, acc, cmb, alg, b.entry)
-	return b.h, nil
+	return in.frame(send, recv, cmb), nil
 }
 
 // Allreduce is the blocking form of IAllreduce.
@@ -631,12 +662,11 @@ func (c *Comm) IAllgather(send, recv []byte, o core.Options) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := c.newBuilder(KindAllgather, o)
+	in, err := c.newCall(shape{kind: KindAllgather, alg: alg}, o)
 	if err != nil {
 		return nil, err
 	}
-	b.allgather(send, recv, alg, b.entry)
-	return b.h, nil
+	return in.frame(send, recv, nil), nil
 }
 
 // Allgather is the blocking form of IAllgather.
@@ -648,24 +678,16 @@ func (c *Comm) Allgather(send, recv []byte, o core.Options) error {
 	return h.Wait()
 }
 
-// reduceArgs validates reduction buffers and resolves the accumulator
-// (recv, or internal scratch on non-root ranks that passed nil) and the
-// combine function.
-func (c *Comm) reduceArgs(send, recv []byte, dt Datatype, op Op, needRecv bool) ([]byte, func(dst, src []byte), error) {
+// reduceArgs validates reduction buffers — recv may be nil only where
+// needRecv is false (a non-root reduce, which then accumulates in the
+// instance's own scratch) — and resolves the combine function.
+func reduceArgs(send, recv []byte, dt Datatype, op Op, needRecv bool) (func(dst, src []byte), error) {
 	if len(send) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty reduction buffer", core.ErrInvalidArgument)
+		return nil, fmt.Errorf("%w: empty reduction buffer", core.ErrInvalidArgument)
 	}
-	acc := recv
-	if acc == nil && !needRecv {
-		acc = make([]byte, len(send))
+	if (recv != nil || needRecv) && len(recv) != len(send) {
+		return nil, fmt.Errorf("%w: reduction needs len(recv) == len(send), got %d != %d",
+			core.ErrInvalidArgument, len(recv), len(send))
 	}
-	if len(acc) != len(send) {
-		return nil, nil, fmt.Errorf("%w: reduction needs len(recv) == len(send), got %d != %d",
-			core.ErrInvalidArgument, len(acc), len(send))
-	}
-	cmb, err := op.combiner(dt, len(send))
-	if err != nil {
-		return nil, nil, err
-	}
-	return acc, cmb, nil
+	return op.combiner(dt, len(send))
 }

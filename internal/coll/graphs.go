@@ -116,24 +116,207 @@ func pickBarrier(forced string) (string, error) {
 	}
 }
 
-// builder assembles one collective call's graph: node helpers wrap
-// point-to-point posts in op nodes that record errors on the handle, and
+// shape is what a collective's graph depends on, and so the key its
+// instances are kept under: the kind, the algorithm, the root, and
+// whether the call carries a resync-barrier prefix. Message size is not
+// part of it — nodes address buffers through slots and round scratch
+// grows on demand — so a size sweep relaunches one instance instead of
+// building one per size. Rank count and rank are fixed per Comm.
+type shape struct {
+	kind   Kind
+	alg    string
+	root   int
+	resync bool
+}
+
+// idleList holds a shape's finished instances.
+type idleList struct{ free []*instance }
+
+// instance is one completion graph, built for a shape on its first call
+// and relaunched for every later call of it. The node closures read the
+// current call from the frame fields, which newCall and frame rewrite
+// before each launch. Fields outside the frame are fixed at build time
+// or grow only.
+type instance struct {
+	c     *Comm
+	key   shape
+	g     *comp.Graph
+	idle  *idleList
+	tmp   [][]byte // round scratch, grown to the call's message size
+	flags []byte   // barrier payload and landing bytes
+	own   []byte   // accumulator of a non-root reduce that passed no recv
+
+	// frame: the current call.
+	h          *Handle
+	o          core.Options
+	epoch      int // the call's windowed epoch
+	bepoch     int // the resync-barrier prefix's windowed epoch
+	send, recv []byte
+	cmb        func(dst, src []byte)
+}
+
+// acquire takes an idle instance of key's shape, building one if the
+// shape has none.
+func (c *Comm) acquire(key shape) *instance {
+	l := c.idle[key]
+	if l == nil {
+		l = &idleList{}
+		c.idle[key] = l
+	}
+	if n := len(l.free); n > 0 {
+		in := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return in
+	}
+	return c.build(key, l)
+}
+
+// build constructs the graph of key's shape on this rank.
+func (c *Comm) build(key shape, l *idleList) *instance {
+	in := &instance{c: c, key: key, g: comp.NewGraph(), idle: l}
+	in.g.SetDeferOps()
+	b := &builder{in: in, n: c.rt.NumRanks(), me: c.rt.Rank()}
+	if key.resync {
+		b.entry = b.barrierRounds(true, nil)
+	}
+	switch key.kind {
+	case KindBarrier:
+		b.barrierRounds(false, b.entry)
+	case KindBcast:
+		b.bcast(key.root, key.alg, 0, b.entry)
+	case KindReduce:
+		b.reduce(key.root, key.alg, 0, b.entry)
+	case KindAllreduce:
+		b.allreduce(key.alg, b.entry)
+	case KindAllgather:
+		b.allgather(key.alg, b.entry)
+	}
+	return in
+}
+
+// frame points the instance at the call's buffers and combiner, sizing
+// the round scratch to the message, and returns the call's handle.
+func (in *instance) frame(send, recv []byte, cmb func(dst, src []byte)) *Handle {
+	if recv == nil {
+		in.own = grow(in.own, len(send))
+		recv = in.own
+	}
+	in.send, in.recv, in.cmb = send, recv, cmb
+	for i := range in.tmp {
+		in.tmp[i] = grow(in.tmp[i], len(send))
+	}
+	return in.h
+}
+
+// release re-arms a finished instance and returns it to its idle list,
+// dropping its references to the call's buffers.
+func (in *instance) release() {
+	in.g.Reset()
+	in.h, in.send, in.recv, in.cmb = nil, nil, nil, nil
+	in.o = core.Options{}
+	in.idle.free = append(in.idle.free, in)
+}
+
+// grow returns b resized to n bytes, reallocating only when it is too
+// small.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// buf resolves s against the current call.
+func (in *instance) buf(s slot) []byte {
+	switch s.kind {
+	case slotSend:
+		return in.send
+	case slotRecv:
+		return in.recv
+	case slotBlock:
+		bs := len(in.send)
+		return in.recv[s.i*bs : (s.i+1)*bs]
+	case slotTmp:
+		return in.tmp[s.i]
+	default:
+		return in.flags[s.i : s.i+1]
+	}
+}
+
+// tag resolves t against the current call's epochs.
+func (in *instance) tag(t tagRef) int {
+	if t.prefix {
+		return tagFor(KindBarrier, in.bepoch, t.round)
+	}
+	return tagFor(in.key.kind, in.epoch, t.round)
+}
+
+// slot names a buffer a node reads or writes. Nodes are built once per
+// shape and relaunched for every call of it, so they cannot capture a
+// call's buffers; each holds a slot instead, which the instance resolves
+// against the current call when the node fires.
+type slot struct {
+	kind uint8
+	i    int
+}
+
+const (
+	slotSend  = iota // the call's send buffer
+	slotRecv         // the call's receive buffer: accumulator, or the broadcast buffer
+	slotBlock        // allgather block i of the receive buffer
+	slotTmp          // round scratch i
+	slotFlag         // barrier byte i
+)
+
+// tagRef names a node's tag: a round of the call's own epoch, or of its
+// resync-barrier prefix's epoch.
+type tagRef struct {
+	prefix bool
+	round  int
+}
+
+// builder assembles a shape's graph once: node helpers wrap
+// point-to-point posts in op nodes that resolve their buffer, tag,
+// options and error sink from the instance's frame at post time, and
 // deps wire the algorithm's partial order.
 type builder struct {
-	h     *Handle
-	epoch int           // windowed epoch for this collective's own tags
+	in    *instance
+	n, me int
 	entry []comp.NodeID // resync-barrier tails every entry node depends on
 }
 
-func (b *builder) tag(round int) int { return tagFor(b.h.kind, b.epoch, round) }
+func (b *builder) tag(round int) tagRef { return tagRef{round: round} }
 
-// send adds an op node posting a send of buf to `to`.
-func (b *builder) send(to, tag int, buf []byte, deps []comp.NodeID) comp.NodeID {
-	h := b.h
-	id := h.g.AddOp(func(cm base.Comp) base.Status {
-		st, err := h.c.rt.PostSend(to, buf, tag, cm, h.o)
+// tmp adds a round-scratch buffer, sized per call by instance.frame.
+func (b *builder) tmp() slot {
+	b.in.tmp = append(b.in.tmp, nil)
+	return slot{slotTmp, len(b.in.tmp) - 1}
+}
+
+// flag adds a one-byte barrier buffer.
+func (b *builder) flag() slot {
+	b.in.flags = append(b.in.flags, 0)
+	return slot{slotFlag, len(b.in.flags) - 1}
+}
+
+// send adds an op node posting a send of s to `to`.
+func (b *builder) send(to int, t tagRef, s slot, deps []comp.NodeID) comp.NodeID {
+	return b.op(b.in.c.rt.PostSend, to, t, s, deps)
+}
+
+// recv adds an op node posting a receive into s from `from`.
+func (b *builder) recv(from int, t tagRef, s slot, deps []comp.NodeID) comp.NodeID {
+	return b.op(b.in.c.rt.PostRecv, from, t, s, deps)
+}
+
+func (b *builder) op(post func(int, []byte, int, base.Comp, core.Options) (base.Status, error),
+	peer int, t tagRef, s slot, deps []comp.NodeID) comp.NodeID {
+	in := b.in
+	id := in.g.AddOp(func(cm base.Comp) base.Status {
+		st, err := post(peer, in.buf(s), in.tag(t), cm, in.o)
 		if err != nil {
-			h.fail(err)
+			in.h.fail(err)
 			return base.Status{State: base.Done}
 		}
 		return st
@@ -142,24 +325,20 @@ func (b *builder) send(to, tag int, buf []byte, deps []comp.NodeID) comp.NodeID 
 	return id
 }
 
-// recv adds an op node posting a receive of buf from `from`.
-func (b *builder) recv(from, tag int, buf []byte, deps []comp.NodeID) comp.NodeID {
-	h := b.h
-	id := h.g.AddOp(func(cm base.Comp) base.Status {
-		st, err := h.c.rt.PostRecv(from, buf, tag, cm, h.o)
-		if err != nil {
-			h.fail(err)
-			return base.Status{State: base.Done}
-		}
-		return st
-	})
-	b.edges(id, deps)
-	return id
+// copyIn adds a node copying the send buffer into dst.
+func (b *builder) copyIn(dst slot, deps []comp.NodeID) comp.NodeID {
+	in := b.in
+	return b.fn(func() { copy(in.buf(dst), in.send) }, deps)
 }
 
-// fn adds a local function node (combine closures, block copies).
+// combine adds a node folding src into the accumulator.
+func (b *builder) combine(src slot, deps []comp.NodeID) comp.NodeID {
+	in := b.in
+	return b.fn(func() { in.cmb(in.recv, in.buf(src)) }, deps)
+}
+
 func (b *builder) fn(f func(), deps []comp.NodeID) comp.NodeID {
-	id := b.h.g.AddFunc(f)
+	id := b.in.g.AddFunc(f)
 	b.edges(id, deps)
 	return id
 }
@@ -171,37 +350,35 @@ func (b *builder) edges(id comp.NodeID, deps []comp.NodeID) {
 		deps = b.entry
 	}
 	for _, d := range deps {
-		b.h.g.AddEdge(d, id)
+		b.in.g.AddEdge(d, id)
 	}
 }
 
-// barrierRounds adds the dissemination-barrier rounds under the given
-// barrier epoch: round k's send and receive depend on round k-1 (you may
-// not announce round k before hearing round k-1). Returns the final
-// round's nodes so callers can hang a collective off barrier completion.
-func (b *builder) barrierRounds(epoch int, deps []comp.NodeID) []comp.NodeID {
-	rt := b.h.c.rt
-	n, me := rt.NumRanks(), rt.Rank()
+// barrierRounds adds the dissemination-barrier rounds, tagged in the
+// call's own epoch or, for a resync prefix, in the prefix's barrier
+// epoch: round k's send and receive depend on round k-1 (you may not
+// announce round k before hearing round k-1). Returns the final round's
+// nodes so callers can hang a collective off barrier completion.
+func (b *builder) barrierRounds(prefix bool, deps []comp.NodeID) []comp.NodeID {
+	n, me := b.n, b.me
 	if n == 1 {
 		return deps
 	}
-	rounds := bits.Len(uint(n - 1))
-	bufs := make([]byte, 2*rounds)
 	prev := deps
 	for k, dist := 0, 1; dist < n; k, dist = k+1, dist*2 {
-		tag := tagFor(KindBarrier, epoch, k)
-		s := b.send((me+dist)%n, tag, bufs[2*k:2*k+1], prev)
-		r := b.recv((me-dist+n)%n, tag, bufs[2*k+1:2*k+2], prev)
+		t := tagRef{prefix: prefix, round: k}
+		s := b.send((me+dist)%n, t, b.flag(), prev)
+		r := b.recv((me-dist+n)%n, t, b.flag(), prev)
 		prev = []comp.NodeID{s, r}
 	}
 	return prev
 }
 
-// bcast adds a broadcast of buf from root. roundBase offsets the tags so
-// the stitched allreduce can reuse the builder within one epoch.
-func (b *builder) bcast(buf []byte, root int, alg string, roundBase int, deps []comp.NodeID) {
-	rt := b.h.c.rt
-	n, me := rt.NumRanks(), rt.Rank()
+// bcast adds a broadcast of the receive buffer from root. roundBase
+// offsets the tags so the stitched allreduce can share one epoch.
+func (b *builder) bcast(root int, alg string, roundBase int, deps []comp.NodeID) {
+	n, me := b.n, b.me
+	buf := slot{kind: slotRecv}
 	if n == 1 {
 		return
 	}
@@ -240,32 +417,33 @@ func (b *builder) bcast(buf []byte, root int, alg string, roundBase int, deps []
 	}
 }
 
-// reduce adds a reduction of send into acc at root and returns its tail
-// nodes (the root's last combine, a leaf's send to its parent) so the
-// stitched allreduce can chain its broadcast behind them.
-func (b *builder) reduce(send, acc []byte, cmb func(dst, src []byte), root int, alg string, roundBase int, deps []comp.NodeID) []comp.NodeID {
-	rt := b.h.c.rt
-	n, me := rt.NumRanks(), rt.Rank()
-	cp := b.fn(func() { copy(acc, send) }, deps)
+// reduce adds a reduction of the send buffer into the accumulator at
+// root and returns its tail nodes (the root's last combine, a leaf's
+// send to its parent) so the stitched allreduce can chain its broadcast
+// behind them.
+func (b *builder) reduce(root int, alg string, roundBase int, deps []comp.NodeID) []comp.NodeID {
+	n, me := b.n, b.me
+	acc := slot{kind: slotRecv}
+	cp := b.copyIn(acc, deps)
 	prev := []comp.NodeID{cp}
 	if n == 1 {
 		return prev
 	}
 	if alg == AlgFlat {
 		if me != root {
-			// The local contribution ships straight from send; acc (the
-			// caller's scratch) only matters for the stitched broadcast,
-			// which must not start before both the copy and the send.
-			s := b.send(root, b.tag(roundBase), send, deps)
+			// The local contribution ships straight from send; the
+			// accumulator only matters for the stitched broadcast, which
+			// must not start before both the copy and the send.
+			s := b.send(root, b.tag(roundBase), slot{kind: slotSend}, deps)
 			return []comp.NodeID{cp, s}
 		}
 		for r := 0; r < n; r++ {
 			if r == root {
 				continue
 			}
-			tmp := make([]byte, len(send))
+			tmp := b.tmp()
 			rn := b.recv(r, b.tag(roundBase), tmp, deps)
-			prev = []comp.NodeID{b.fn(func() { cmb(acc, tmp) }, []comp.NodeID{prev[0], rn})}
+			prev = []comp.NodeID{b.combine(tmp, []comp.NodeID{prev[0], rn})}
 		}
 		return prev
 	}
@@ -281,9 +459,9 @@ func (b *builder) reduce(send, acc []byte, cmb func(dst, src []byte), root int, 
 			if src >= n {
 				continue
 			}
-			tmp := make([]byte, len(send))
+			tmp := b.tmp()
 			rn := b.recv((src+root)%n, b.tag(roundBase+round), tmp, deps)
-			prev = []comp.NodeID{b.fn(func() { cmb(acc, tmp) }, []comp.NodeID{prev[0], rn})}
+			prev = []comp.NodeID{b.combine(tmp, []comp.NodeID{prev[0], rn})}
 		} else {
 			dst := (vr - mask + root) % n
 			prev = []comp.NodeID{b.send(dst, b.tag(roundBase+round), acc, prev)}
@@ -293,13 +471,12 @@ func (b *builder) reduce(send, acc []byte, cmb func(dst, src []byte), root int, 
 	return prev
 }
 
-// allreduce adds an all-reduce of send into acc.
-func (b *builder) allreduce(send, acc []byte, cmb func(dst, src []byte), alg string, deps []comp.NodeID) {
-	rt := b.h.c.rt
-	n, me := rt.NumRanks(), rt.Rank()
+// allreduce adds an all-reduce of the send buffer into the accumulator.
+func (b *builder) allreduce(alg string, deps []comp.NodeID) {
+	n, me := b.n, b.me
 	if alg == AlgReduceBcast {
-		tails := b.reduce(send, acc, cmb, 0, AlgBinomial, 0, deps)
-		b.bcast(acc, 0, AlgBinomial, bcastRoundBase, tails)
+		tails := b.reduce(0, AlgBinomial, 0, deps)
+		b.bcast(0, AlgBinomial, bcastRoundBase, tails)
 		return
 	}
 	// Recursive doubling (power-of-two n): round k exchanges the running
@@ -307,24 +484,23 @@ func (b *builder) allreduce(send, acc []byte, cmb func(dst, src []byte), alg str
 	// previous fold (it ships acc); the receive posts immediately into
 	// its own round buffer; the fold waits for both — the send, too,
 	// because a rendezvous send reads acc after posting.
-	cp := b.fn(func() { copy(acc, send) }, deps)
-	prev := []comp.NodeID{cp}
+	acc := slot{kind: slotRecv}
+	prev := []comp.NodeID{b.copyIn(acc, deps)}
 	for k := 0; 1<<k < n; k++ {
 		peer := me ^ (1 << k)
-		tmp := make([]byte, len(send))
+		tmp := b.tmp()
 		s := b.send(peer, b.tag(k), acc, prev)
 		r := b.recv(peer, b.tag(k), tmp, deps)
-		prev = []comp.NodeID{b.fn(func() { cmb(acc, tmp) }, []comp.NodeID{s, r})}
+		prev = []comp.NodeID{b.combine(tmp, []comp.NodeID{s, r})}
 	}
 }
 
-// allgather adds an all-gather of send into recv (n blocks of len(send)).
-func (b *builder) allgather(send, recv []byte, alg string, deps []comp.NodeID) {
-	rt := b.h.c.rt
-	n, me := rt.NumRanks(), rt.Rank()
-	bs := len(send)
-	blk := func(i int) []byte { return recv[i*bs : (i+1)*bs] }
-	cp := b.fn(func() { copy(blk(me), send) }, deps)
+// allgather adds an all-gather of the send buffer into the receive
+// buffer's n blocks.
+func (b *builder) allgather(alg string, deps []comp.NodeID) {
+	n, me := b.n, b.me
+	blk := func(i int) slot { return slot{slotBlock, i} }
+	cp := b.copyIn(blk(me), deps)
 	if n == 1 {
 		return
 	}
@@ -333,7 +509,7 @@ func (b *builder) allgather(send, recv []byte, alg string, deps []comp.NodeID) {
 			if r == me {
 				continue
 			}
-			b.send(r, b.tag(0), send, deps)
+			b.send(r, b.tag(0), slot{kind: slotSend}, deps)
 			b.recv(r, b.tag(0), blk(r), deps)
 		}
 		return

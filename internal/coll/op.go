@@ -72,42 +72,49 @@ func (op Op) combiner(dt Datatype, size int) (func(dst, src []byte), error) {
 	if size%dt.Size() != 0 {
 		return nil, fmt.Errorf("%w: %d-byte buffer is not a whole number of %s elements", core.ErrInvalidArgument, size, dt)
 	}
+	var table map[string]func(dst, src []byte)
 	switch dt {
 	case Int64:
-		var f func(a, b int64) int64
-		switch op.name {
-		case "sum":
-			f = func(a, b int64) int64 { return a + b }
-		case "min":
-			f = func(a, b int64) int64 { return min(a, b) }
-		case "max":
-			f = func(a, b int64) int64 { return max(a, b) }
-		}
-		return func(dst, src []byte) {
-			for i := 0; i+8 <= len(dst); i += 8 {
-				a := int64(binary.LittleEndian.Uint64(dst[i:]))
-				b := int64(binary.LittleEndian.Uint64(src[i:]))
-				binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
-			}
-		}, nil
+		table = int64Combiners
 	case Float64:
-		var f func(a, b float64) float64
-		switch op.name {
-		case "sum":
-			f = func(a, b float64) float64 { return a + b }
-		case "min":
-			f = math.Min
-		case "max":
-			f = math.Max
-		}
-		return func(dst, src []byte) {
-			for i := 0; i+8 <= len(dst); i += 8 {
-				a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-				b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-				binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
-			}
-		}, nil
+		table = float64Combiners
 	default:
 		return nil, fmt.Errorf("%w: unknown datatype %d", core.ErrInvalidArgument, dt)
+	}
+	return table[op.name], nil
+}
+
+// The built-in combiners are resolved once, so a reduction call does not
+// allocate its combine closure.
+var (
+	int64Combiners = map[string]func(dst, src []byte){
+		"sum": int64Combiner(func(a, b int64) int64 { return a + b }),
+		"min": int64Combiner(func(a, b int64) int64 { return min(a, b) }),
+		"max": int64Combiner(func(a, b int64) int64 { return max(a, b) }),
+	}
+	float64Combiners = map[string]func(dst, src []byte){
+		"sum": float64Combiner(func(a, b float64) float64 { return a + b }),
+		"min": float64Combiner(math.Min),
+		"max": float64Combiner(math.Max),
+	}
+)
+
+func int64Combiner(f func(a, b int64) int64) func(dst, src []byte) {
+	return func(dst, src []byte) {
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a := int64(binary.LittleEndian.Uint64(dst[i:]))
+			b := int64(binary.LittleEndian.Uint64(src[i:]))
+			binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
+		}
+	}
+}
+
+func float64Combiner(f func(a, b float64) float64) func(dst, src []byte) {
+	return func(dst, src []byte) {
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
+			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
+			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
+		}
 	}
 }

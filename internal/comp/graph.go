@@ -18,10 +18,16 @@ import (
 // Every node tracks its remaining-parent count with an atomic counter
 // (§5.1.4); a node whose count reaches zero is fired immediately by
 // whichever thread performed the final decrement.
+//
+// Like a CUDA graph, a Graph is built once and may be launched many
+// times: Reset re-arms a completed graph for another Start. The first
+// Start validates and freezes the DAG; later launches skip both.
 type Graph struct {
 	buildMu spin.Mutex
 	nodes   []*graphNode
-	started atomic.Bool
+	roots   []*graphNode // nodes with no predecessors, fixed by the first Start
+	frozen  atomic.Bool  // set by the first Start: the DAG can no longer change
+	started atomic.Bool  // set by Start, cleared by Reset
 	pending atomic.Int64 // nodes not yet complete
 	// ready holds op nodes awaiting (re-)posting: nodes whose operations
 	// returned Retry, and — in deferred mode — nodes whose dependencies
@@ -80,7 +86,7 @@ func NewGraph() *Graph {
 // Test or Drain call instead of being posted inline by the signaling
 // thread. Function nodes still run inline. Must be called before Start.
 func (g *Graph) SetDeferOps() {
-	if g.started.Load() {
+	if g.frozen.Load() {
 		panic("comp: SetDeferOps after Start")
 	}
 	g.deferOps = true
@@ -103,7 +109,7 @@ func (g *Graph) AddOp(post func(c base.Comp) base.Status) NodeID {
 }
 
 func (g *Graph) add(n *graphNode) NodeID {
-	if g.started.Load() {
+	if g.frozen.Load() {
 		panic("comp: Graph mutated after Start")
 	}
 	g.buildMu.Lock()
@@ -117,7 +123,7 @@ func (g *Graph) add(n *graphNode) NodeID {
 
 // AddEdge declares that node u must complete before node v starts.
 func (g *Graph) AddEdge(u, v NodeID) {
-	if g.started.Load() {
+	if g.frozen.Load() {
 		panic("comp: Graph mutated after Start")
 	}
 	g.buildMu.Lock()
@@ -128,23 +134,56 @@ func (g *Graph) AddEdge(u, v NodeID) {
 }
 
 // Start fires all root nodes (nodes with no predecessors). It may be
-// called once. Start validates the graph first: a dependency cycle (or a
-// node only reachable through one) would leave the graph permanently
-// incomplete, so it panics instead — a build-time programming mistake,
-// like mutating the graph after Start.
+// called once per launch (see Reset). The first Start validates the
+// graph: a dependency cycle (or a node only reachable through one) would
+// leave the graph permanently incomplete, so it panics instead — a
+// build-time programming mistake, like mutating the graph after Start.
+// The DAG is frozen from then on, so relaunches skip the check.
 func (g *Graph) Start() {
 	if g.started.Swap(true) {
 		panic("comp: Graph started twice")
 	}
-	g.validate()
-	for _, n := range g.nodes {
-		if n.initDeps == 0 {
-			g.fire(n)
-		}
+	if !g.frozen.Load() {
+		g.validate()
+		g.frozen.Store(true)
+	}
+	for _, n := range g.roots {
+		g.fire(n)
 	}
 	if g.deferOps {
 		g.Drain()
 	}
+}
+
+// Reset re-arms a completed graph for another Start: every node's
+// dependency count is restored, its done and aborted flags are cleared,
+// and the pending count and the latched error are reset. It panics
+// unless the graph was started, every node is done and the ready queue
+// is empty.
+//
+// Once pending reads zero no completion can still touch the graph's
+// nodes: each node is signaled at most once per launch, by the operation
+// its own post started; finish decrements pending before it releases
+// the node's children, and a child cannot finish before all its parents
+// have released it. So when pending reads zero every release loop has
+// made its last dependency decrement, and every node it fired has
+// finished. The caller must own the graph (no concurrent Test or Drain)
+// while it resets.
+func (g *Graph) Reset() {
+	if !g.started.Load() {
+		panic("comp: Reset of a graph that was not started")
+	}
+	if g.pending.Load() != 0 || g.ready.Len() != 0 {
+		panic("comp: Reset of an unfinished graph")
+	}
+	for _, n := range g.nodes {
+		n.deps.Store(n.initDeps)
+		n.done.Store(false)
+		n.aborted.Store(false)
+	}
+	g.pending.Store(int64(len(g.nodes)))
+	g.err.Store(nil)
+	g.started.Store(false)
 }
 
 // validate runs Kahn's algorithm over the declared edges: every node must
@@ -157,6 +196,9 @@ func (g *Graph) validate() {
 		if n.initDeps == 0 {
 			queue = append(queue, NodeID(i))
 		}
+	}
+	for _, id := range queue {
+		g.roots = append(g.roots, g.nodes[id])
 	}
 	seen := 0
 	for len(queue) > 0 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lci/internal/base"
 	"lci/internal/comp"
@@ -267,5 +268,140 @@ func TestGraphDeferOps(t *testing.T) {
 	}
 	if !childPosted.Load() {
 		t.Fatal("child op never posted")
+	}
+}
+
+// TestGraphResetPanicsUnlessFinished: Reset re-arms only a completed
+// launch — never an unstarted graph, nor one with a node still in flight.
+func TestGraphResetPanicsUnlessFinished(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Reset of %s did not panic", what)
+			}
+		}()
+		f()
+	}
+	g := comp.NewGraph()
+	var pending base.Comp
+	g.AddOp(func(c base.Comp) base.Status {
+		pending = c
+		return base.Status{State: base.Posted}
+	})
+	mustPanic("an unstarted graph", g.Reset)
+	g.Start()
+	mustPanic("a graph with a posted node", g.Reset)
+	pending.Signal(base.Status{State: base.Done})
+	if !g.Test() {
+		t.Fatal("graph incomplete after its only op was signaled")
+	}
+	g.Reset() // finished: legal
+	mustPanic("a re-armed, unstarted graph", g.Reset)
+
+	retry := comp.NewGraph()
+	retry.AddOp(func(base.Comp) base.Status { return base.Status{State: base.Retry} })
+	retry.Start()
+	mustPanic("a graph with a queued retry", retry.Reset)
+}
+
+// TestGraphRelaunch: one graph — a fan-out of posted ops signaled from
+// several goroutines, joined through function nodes, in deferred-op mode
+// as the collectives run it — relaunched 1,000 times fires every node
+// exactly once per launch, and no signal of one launch leaks into the
+// next (run under -race).
+func TestGraphRelaunch(t *testing.T) {
+	const (
+		launches = 1000
+		width    = 8
+	)
+	g := comp.NewGraph()
+	g.SetDeferOps()
+	comps := make(chan base.Comp, width)
+	var fired [2*width + 2]atomic.Int64
+	root := g.AddFunc(func() { fired[0].Add(1) })
+	join := g.AddFunc(func() { fired[1].Add(1) })
+	for i := 0; i < width; i++ {
+		op := g.AddOp(func(c base.Comp) base.Status {
+			fired[2+i].Add(1)
+			if i%2 == 0 {
+				return base.Status{State: base.Done} // completes at post
+			}
+			comps <- c
+			return base.Status{State: base.Posted}
+		})
+		fn := g.AddFunc(func() { fired[2+width+i].Add(1) })
+		g.AddEdge(root, op)
+		g.AddEdge(op, fn)
+		g.AddEdge(fn, join)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range comps {
+				c.Signal(base.Status{State: base.Done})
+			}
+		}()
+	}
+	defer func() {
+		close(comps)
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for l := int64(1); l <= launches; l++ {
+		g.Start()
+		for !g.Test() {
+			if time.Now().After(deadline) {
+				t.Fatalf("launch %d never completed", l)
+			}
+		}
+		for i := range fired {
+			if n := fired[i].Load(); n != l {
+				t.Fatalf("launch %d: node %d fired %d times in total, want %d", l, i, n, l)
+			}
+		}
+		if err := g.Err(); err != nil {
+			t.Fatalf("launch %d: Err = %v", l, err)
+		}
+		g.Reset()
+	}
+}
+
+// TestGraphRelaunchAfterAbort: a launch whose op failed (aborting its
+// dependents) re-arms to a clean graph: the next launch runs every node,
+// aborts nothing and reports Err() == nil.
+func TestGraphRelaunchAfterAbort(t *testing.T) {
+	g := comp.NewGraph()
+	boom := errors.New("peer died")
+	var opComp base.Comp
+	op := g.AddOp(func(c base.Comp) base.Status {
+		opComp = c
+		return base.Status{State: base.Posted}
+	})
+	var childRuns atomic.Int64
+	child := g.AddFunc(func() { childRuns.Add(1) })
+	g.AddEdge(op, child)
+
+	g.Start()
+	opComp.Signal(base.Status{}.WithErr(boom))
+	if !g.Test() || !errors.Is(g.Err(), boom) || !g.Aborted(child) {
+		t.Fatalf("failing launch: done=%v err=%v aborted=%v", g.Test(), g.Err(), g.Aborted(child))
+	}
+	g.Reset()
+	if g.Err() != nil || g.Aborted(child) || g.Test() {
+		t.Fatalf("after Reset: err=%v aborted=%v complete=%v, want a clean unfinished graph", g.Err(), g.Aborted(child), g.Test())
+	}
+	g.Start()
+	opComp.Signal(base.Status{State: base.Done})
+	if !g.Test() {
+		t.Fatal("relaunch never completed")
+	}
+	if err := g.Err(); err != nil {
+		t.Fatalf("relaunch after abort: Err = %v, want nil", err)
+	}
+	if childRuns.Load() != 1 || g.Aborted(child) {
+		t.Fatalf("relaunch: child ran %d times, aborted=%v; want 1, false", childRuns.Load(), g.Aborted(child))
 	}
 }

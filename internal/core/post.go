@@ -292,6 +292,9 @@ func (rt *Runtime) checkCommon(rank int, buf []byte) error {
 // final status.
 func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, opts Options, d *Device) (base.Status, error) {
 	w := opts.worker(d)
+	// The backlog closure below must not capture opts: that would move
+	// the whole Options to the heap on every post, parked or not.
+	rdev, uctx := opts.remoteDev(d), opts.Ctx
 	var t0 int64
 	if comp != nil && len(buf) > rt.cfg.InjectSize && d.tel.Timing() {
 		t0 = telemetry.Now()
@@ -306,11 +309,11 @@ func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, o
 		var ctx any
 		if comp != nil && len(buf) > rt.cfg.InjectSize {
 			ctx = &sendOp{comp: comp, st: base.Status{
-				State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: n, Ctx: opts.Ctx,
+				State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: n, Ctx: uctx,
 			}, t0: t0}
 		}
 		d.crossDelay(w)
-		err := d.net.PostSend(rank, opts.remoteDev(d), uint32(hdr.kind), pkt.Data[:headerSize+n], ctx)
+		err := d.net.PostSend(rank, rdev, uint32(hdr.kind), pkt.Data[:headerSize+n], ctx)
 		// The fabric copies synchronously, so the packet recycles
 		// immediately whether the post succeeded or failed.
 		w.Put(pkt)
@@ -328,7 +331,7 @@ func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, o
 			}
 			return base.Status{
 				State: base.Done, Rank: rank, Tag: int(hdr.tag),
-				Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
+				Buffer: buf, Size: len(buf), Ctx: uctx,
 			}, nil
 		}
 		if d.tel.Counting() {
@@ -361,17 +364,17 @@ func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, o
 			var ctx any
 			if innerComp != nil {
 				ctx = &sendOp{comp: innerComp, st: base.Status{
-					State: base.Done, Rank: rank, Tag: int(inner.tag), Buffer: buf, Size: n, Ctx: opts.Ctx,
+					State: base.Done, Rank: rank, Tag: int(inner.tag), Buffer: buf, Size: n, Ctx: uctx,
 				}, t0: t0}
 			}
 			d.crossDelay(w)
-			e := d.net.PostSend(rank, opts.remoteDev(d), uint32(inner.kind), pkt.Data[:headerSize+n], ctx)
+			e := d.net.PostSend(rank, rdev, uint32(inner.kind), pkt.Data[:headerSize+n], ctx)
 			w.Put(pkt)
 			if e != nil && !retryable(e) {
 				// Fatal on a backlog drain (peer died while parked): the
 				// queue drops non-retryable errors, so report here.
 				d.failSend(&sendState{comp: innerComp, st: base.Status{
-					State: base.Done, Rank: rank, Tag: int(inner.tag), Ctx: opts.Ctx,
+					State: base.Done, Rank: rank, Tag: int(inner.tag), Ctx: uctx,
 				}}, e)
 				return nil
 			}
@@ -386,8 +389,10 @@ func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, o
 // postRendezvous runs the shared rendezvous announcement for large sends
 // and AMs.
 func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Comp, opts Options, d *Device) (base.Status, error) {
+	// As in postEager, keep opts out of the closures.
+	rdev, uctx := opts.remoteDev(d), opts.Ctx
 	ss := &sendState{buf: buf, comp: comp, st: base.Status{
-		State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
+		State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: len(buf), Ctx: uctx,
 	}, isAM: hdr.kind == kRTSAM}
 	if d.tel.Timing() {
 		ss.t0 = telemetry.Now()
@@ -402,7 +407,7 @@ func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Co
 	hdr.size = uint32(len(buf))
 	if d.hardened {
 		ss.dst = rank
-		ss.rdev = opts.remoteDev(d)
+		ss.rdev = rdev
 		ss.tok = token
 		ss.hdr = hdr
 		if d.rdvTimeoutEpochs > 0 {
@@ -421,7 +426,7 @@ func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Co
 		}
 		hdr.encode(pkt.Data)
 		d.crossDelay(w)
-		err := d.net.PostSend(rank, opts.remoteDev(d), uint32(hdr.kind), pkt.Data[:headerSize], nil)
+		err := d.net.PostSend(rank, rdev, uint32(hdr.kind), pkt.Data[:headerSize], nil)
 		w.Put(pkt)
 		return err
 	}
