@@ -345,11 +345,12 @@ func TestAMRendezvousAllocator(t *testing.T) {
 	}
 }
 
-// TestAMGraphInterop wires an AM arrival into a deferred-ops completion
-// graph: the poller signals an op node from handler-delivery context, the
-// newly-ready child op queues to the graph owner, and the owner's drain
-// posts the reply AM — the discipline the graph-driven collectives use,
-// now reachable from user AMs.
+// TestAMGraphInterop wires an AM arrival into a completion graph: the
+// poller signals an op node from handler-delivery context, and the
+// newly-ready child op posts the reply AM right there, inside the
+// progress call, with WithNoRetry so a transient failure parks on the
+// backlog instead of needing a retry loop — the discipline the
+// graph-driven collectives use, reachable from user AMs.
 func TestAMGraphInterop(t *testing.T) {
 	w := lci.NewWorld(2)
 	defer w.Close()
@@ -390,18 +391,18 @@ func TestAMGraphInterop(t *testing.T) {
 		}
 
 		// Rank 1: node A waits for the AM (its Comp is the registered
-		// remote target, signaled from poller context); node B replies.
-		// With deferred ops, B posts from this goroutine's Test calls,
-		// never from inside the poll.
+		// remote target, signaled from poller context); node B replies,
+		// posted by the poller that signals A.
 		g := lci.NewGraph()
-		g.SetDeferOps()
+		var inProgress, postedInProgress atomic.Bool
 		var target lci.RComp
 		a := g.AddOp(func(c lci.Comp) lci.Status {
 			target = rt.RegisterRComp(c)
 			return lci.Status{State: lci.Posted}
 		})
 		b := g.AddOp(func(c lci.Comp) lci.Status {
-			st, err := rt.PostAM(peer, []byte("graph-reply"), replyH, lci.WithLocalComp(c))
+			postedInProgress.Store(inProgress.Load())
+			st, err := rt.PostAM(peer, []byte("graph-reply"), replyH, lci.WithLocalComp(c), lci.WithNoRetry())
 			if err != nil {
 				t.Errorf("reply PostAM: %v", err)
 				return lci.Status{State: lci.Done}
@@ -426,9 +427,14 @@ func TestAMGraphInterop(t *testing.T) {
 			}
 		}
 		deadlineSpin(t, func() bool {
+			inProgress.Store(true)
 			rt.Progress()
+			inProgress.Store(false)
 			return g.Test()
 		})
+		if !postedInProgress.Load() {
+			t.Error("reply op was not posted from the poller that signaled its parent")
+		}
 		if err := rt.Barrier(); err != nil {
 			return err
 		}

@@ -20,8 +20,9 @@ import (
 // round's posts and progress ride that same-domain device.
 
 // Coll is a nonblocking collective handle: Start posts the graph's
-// roots, Test drains deferred posts and reports completion, Wait blocks
-// while progressing the collective's resources. Test reporting true
+// roots, later rounds post from whichever progress call completes their
+// inputs, Test reports completion, and Wait blocks while progressing the
+// collective's resources. Test reporting true
 // means the collective finished, not that it succeeded — a Test-polling
 // loop must check Err once Test returns true (Wait returns it).
 type Coll = coll.Handle

@@ -44,7 +44,8 @@ func main() {
 		}
 
 		// While the collective's graph is in flight, exchange a neighbor
-		// message — polling the handle drains its deferred posts.
+		// message: the progress calls that move the p2p traffic also
+		// signal the graph, and each ready round posts right away.
 		peer := (rt.Rank() + 1) % ranks
 		left := (rt.Rank() - 1 + ranks) % ranks
 		const tag = 42

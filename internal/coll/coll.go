@@ -5,10 +5,20 @@
 // this composition for nonblocking collectives). Each collective
 // therefore has both a blocking form and a nonblocking handle
 // (Start/Test/Wait) that the caller progresses like any other LCI
-// operation; the graph defers its posts to the owner's polling calls, so
-// single-goroutine resources (affinity handles, packet workers) stay on
-// the owner's thread even while foreign progress threads signal
-// completions.
+// operation.
+//
+// # Firing rule
+//
+// As in the paper's completion graph, the thread that makes a node's last
+// dependency decrement fires it: an op node posts from inside whichever
+// thread's progress call signaled its parent — the owner's, or a foreign
+// poller's — so a chain of ready ops moves as far as it can per signal,
+// not one hop per Test. Collective posts therefore run with
+// DisallowRetry: a post that cannot go out now parks on its device's
+// backlog queue (drained at the head of that device's next progress
+// round) and reports Posted, because no thread can be relied on to
+// re-post a Retry. A post that fails outright returns its error as the
+// op's status, and the graph's atomic error latch records it.
 //
 // # Built once, relaunched per call
 //
@@ -50,22 +60,28 @@
 // two mechanisms bound the skew below the window: a per-kind age cap (a
 // call refuses to build while a call issued resyncEvery = 32 or more
 // calls ago is still unfinished — Comm.checkAge; an abandoned handle's
-// parked receives would otherwise cross-match a recycled tag), and
-// every resyncEvery calls of a kind the call runs the shape's variant
+// parked receives would otherwise cross-match a recycled tag), and, for
+// the kinds that do not synchronize by themselves (broadcast and
+// reduce), every resyncEvery calls the call runs the shape's variant
 // with a dissemination-barrier prefix that the collective's entry nodes
 // depend on.
 //
 // Safety derivation — a tag of call j is reused at call j+128; when any
-// rank builds call s = j+128: the age cap says its local calls ≤ s-32
-// are finished, so the newest resync-equipped call it has FINISHED
-// (merely having built the nearest one is not enough — its embedded
-// barrier may not have run) is some f ≥ s-63; that barrier having
-// completed proves every rank BUILT call f, and their own age caps then
-// prove they finished — and thus matched all receives of — calls
-// ≤ f-32 ≥ s-95 > j. Barriers need no resync subgraph: completing a
-// barrier call proves every rank entered it, and chaining the age cap
-// through two such hops (s → s-32 → s-64 → matched ≤ s-96) retires the
-// window's previous use the same way.
+// rank builds call s = j+128, the age cap says its local calls ≤ s-32
+// are finished.
+//
+//   - Broadcast and reduce: the newest resync-equipped call the rank has
+//     FINISHED (merely having built the nearest one is not enough — its
+//     embedded barrier may not have run) is some f ≥ s-63; that barrier
+//     having completed proves every rank BUILT call f, and their own age
+//     caps then prove they finished — and thus matched all receives of —
+//     calls ≤ f-32 ≥ s-95 > j.
+//   - Barrier, allreduce and allgather synchronize by themselves: a rank
+//     finishes one of their calls only after hearing, directly or
+//     through intermediaries, from every rank in that same call, so
+//     finishing call s-32 proves every rank BUILT s-32, and their age
+//     caps prove they finished every call ≤ s-64 < j. These kinds never
+//     carry a prefix.
 //
 // Collectives are collective calls: every rank must issue them in the
 // same order, and a rank must not call collectives concurrently from
@@ -119,18 +135,20 @@ const (
 	// it. It must exceed 2·resyncEvery + the outstanding-age cap (see
 	// the safety derivation in the package comment): the newest resync
 	// barrier a rank is guaranteed to have FINISHED (not merely built)
-	// when it builds call s is the one embedded in a call as old as
-	// s-63, and that barrier only proves remote ranks completed calls up
-	// to s-95 — so 128 leaves a 33-call margin while 64 would not.
+	// when it builds a broadcast or reduce call s is the one embedded in
+	// a call as old as s-63, and that barrier only proves remote ranks
+	// completed calls up to s-95 — so 128 leaves a 33-call margin while
+	// 64 would not.
 	epochWindow = 128
 	// maxRounds is the per-epoch tag budget: algorithm rounds (ring
 	// allgather uses nranks-1 of them; the stitched reduce+broadcast
 	// allreduce offsets its broadcast half by bcastRoundBase).
 	maxRounds = 128
 	// resyncEvery: a dissemination-barrier subgraph is prepended every
-	// this many calls of a non-synchronizing kind, and a call refuses to
-	// build while one issued this many calls ago is still outstanding
-	// (which also caps outstanding calls per kind at this count).
+	// this many calls of a non-synchronizing kind (broadcast, reduce),
+	// and a call refuses to build while one issued this many calls ago
+	// is still outstanding (which also caps outstanding calls per kind
+	// at this count).
 	resyncEvery = epochWindow / 4
 	// bcastRoundBase offsets the broadcast rounds of the stitched
 	// reduce+broadcast allreduce past its reduce rounds.
@@ -197,12 +215,6 @@ type Comm struct {
 	// kind's resync-barrier epochs are tracked here too (under
 	// KindBarrier), tied to the parent handle's lifetime.
 	outstanding [numKinds][]int
-	// live holds the unfinished nonblocking handles, so a later
-	// collective's wait loop can keep draining their deferred posts
-	// (drainLive) — without it, a handle mid-graph while its owner waits
-	// inside a blocking collective would stall, deadlocking overlap
-	// patterns the outstanding machinery expressly permits.
-	live []*Handle
 	// idle holds each shape's finished instances, ready to relaunch.
 	// Instances are built on a shape's first call; a shape never holds
 	// more than its peak number of simultaneously outstanding calls,
@@ -237,7 +249,9 @@ func (c *Comm) Runtime() *core.Runtime { return c.rt }
 // the dedicated engine under default matching, and point-to-point-only
 // options that would corrupt the wire pattern (remote buffers/completions,
 // explicit remote devices) are cleared. Device, Affinity and Worker are
-// honored — they are the placement levers.
+// honored — they are the placement levers. Posts never return Retry: a
+// ready op may post from a foreign poller's Signal, where nobody could
+// re-post it, so transient failures park on the device backlog instead.
 func (c *Comm) prep(o *core.Options) {
 	o.Engine = c.me
 	o.Policy = base.MatchRankTag
@@ -245,7 +259,7 @@ func (c *Comm) prep(o *core.Options) {
 	o.RComp = base.InvalidRComp
 	o.RemoteDevice = 0
 	o.RemoteDeviceSet = false
-	o.DisallowRetry = false
+	o.DisallowRetry = true
 	o.Ctx = nil
 }
 
@@ -283,25 +297,6 @@ func (c *Comm) retire(kind Kind, seq int) {
 	}
 }
 
-// drainLive advances the deferred posts of every live handle that shares
-// the caller's thread-bound resources. Handles whose posts ride the same
-// affinity and worker as the current call belong to the same thread (the
-// handles and the per-rank collective serialization both bind to one
-// goroutine), so posting on their behalf from this wait loop cannot
-// touch another thread's packet worker — which is the one hazard the
-// deferred-op mode exists to prevent. Handles pinned to other resources
-// stay untouched: their owner must keep polling them.
-func (c *Comm) drainLive(o core.Options, self *Handle) {
-	for _, h := range c.live {
-		if h == self || !h.started {
-			continue
-		}
-		if h.in.o.Affinity == o.Affinity && h.in.o.Worker == o.Worker {
-			h.in.g.Drain()
-		}
-	}
-}
-
 // checkDead polls the fault domain from a collective wait loop. The
 // dead-rank sweep in core only reaches receives posted against the dead
 // rank itself; a collective can also strand a receive from a rank that is
@@ -312,8 +307,8 @@ func (c *Comm) drainLive(o core.Options, self *Handle) {
 // is poisoned and every receive parked in its dedicated engine is
 // error-completed with ErrPeerDead; the graphs' abort cascades then
 // finish them and Wait returns a typed error instead of spinning. While
-// poisoned the sweep repeats on every poll, because deferred posts
-// drained after the first sweep park new — equally doomed — receives.
+// poisoned the sweep repeats on every poll, because ops that become ready
+// after the first sweep park new — equally doomed — receives.
 // The healthy-path cost is one atomic load and a compare.
 //
 // In-flight sends need no cancellation: eager sends complete at TxDone
@@ -329,16 +324,6 @@ func (c *Comm) checkDead() {
 	}
 	if c.poisoned {
 		c.rt.CancelRecvs(c.me, core.ErrPeerDead)
-	}
-}
-
-// unlive removes a finished handle from the live list.
-func (c *Comm) unlive(h *Handle) {
-	for i, v := range c.live {
-		if v == h {
-			c.live = append(c.live[:i], c.live[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -376,18 +361,11 @@ func (c *Comm) Barrier(o core.Options) error {
 		if err != nil {
 			return err
 		}
-		var sst base.Status
-		for {
-			sst, err = c.rt.PostSend(sendTo, c.bpay[:], tag, &c.bsend, o)
-			if err != nil {
-				return err
-			}
-			if !sst.IsRetry() {
-				break
-			}
-			pr.step(c.rt, o)
-			c.drainLive(o, nil)
-			c.checkDead()
+		// prep set DisallowRetry: the send is Done, or Posted (possibly
+		// parked on the backlog), never Retry.
+		sst, err := c.rt.PostSend(sendTo, c.bpay[:], tag, &c.bsend, o)
+		if err != nil {
+			return err
 		}
 		// A Done receive (the peer's message had already arrived) never
 		// signals the counter; only wait when the receive was parked.
@@ -395,14 +373,12 @@ func (c *Comm) Barrier(o core.Options) error {
 		// cancellation signals brecv with the error, ending the loop.
 		for rst.IsPosted() && c.brecv.Load() < 1 {
 			pr.step(c.rt, o)
-			c.drainLive(o, nil)
 			c.checkDead()
 		}
 		// Inject-sized sends complete at post time and never signal; a
 		// Posted send must quiesce before its counter is reused.
 		for sst.IsPosted() && c.bsend.Load() < 1 {
 			pr.step(c.rt, o)
-			c.drainLive(o, nil)
 			c.checkDead()
 		}
 		// A counter may have been signaled with an error (the peer died
@@ -419,8 +395,8 @@ func (c *Comm) Barrier(o core.Options) error {
 }
 
 // Handle is a nonblocking collective: one launch of a completion graph
-// the caller polls. Test drains deferred posts and reports completion;
-// Wait blocks, progressing the collective's resources. The handle belongs
+// the caller polls. Test reports completion; Wait blocks, progressing
+// the collective's resources. The handle belongs
 // to the thread that issued the collective. It holds its graph instance
 // only while the call is unfinished: Test hands the instance back for
 // the shape's next call once it has copied the call's outcome.
@@ -431,28 +407,19 @@ type Handle struct {
 	seq     int       // call sequence number (retired from outstanding on finish)
 	bseq    int       // embedded resync barrier's sequence number (-1 if none)
 	started bool
-	err     error // the call's first posting error, then its outcome
+	err     error // the call's outcome, copied from the graph when it finishes
 }
 
 // Kind returns the collective's kind.
 func (h *Handle) Kind() Kind { return h.kind }
 
-// fail records the first posting error; the failing node completes so the
-// graph can drain and Wait can surface the error. Op nodes post from the
-// owner's Start/Test/Drain calls only, so no lock is needed.
-func (h *Handle) fail(err error) {
-	if h.err == nil {
-		h.err = err
-	}
-}
-
-// Err returns the first error any of the collective's operations hit:
-// post-time failures recorded by the op nodes, or completion-time
-// failures (a peer died mid-collective, a rendezvous timed out) latched
-// by the graph's abort cascade. A failed collective still completes —
-// Wait returns, never hangs — with this error.
+// Err returns the first error any of the collective's operations hit —
+// a post refused outright, or a completion-time failure (a peer died
+// mid-collective, a rendezvous timed out) — as latched by the graph's
+// abort cascade. A failed collective still completes — Wait returns,
+// never hangs — with this error.
 func (h *Handle) Err() error {
-	if h.err == nil && h.in != nil {
+	if h.in != nil {
 		return h.in.g.Err()
 	}
 	return h.err
@@ -469,11 +436,11 @@ func (h *Handle) Start() error {
 	return nil
 }
 
-// Test drains deferred posts and reports whether the collective has
-// completed. An unstarted collective reports false. Completed is not
-// the same as succeeded: a node that hit a posting error finishes the
-// graph so it can drain, with the error stored — after Test first
-// returns true, check Err (Wait does this for you).
+// Test reports whether the collective has completed. An unstarted
+// collective reports false. Completed is not the same as
+// succeeded: a node that hit an error finishes the graph so it can
+// drain, with the error latched — after Test first returns true, check
+// Err (Wait does this for you).
 func (h *Handle) Test() bool {
 	if !h.started {
 		return false
@@ -488,15 +455,12 @@ func (h *Handle) Test() bool {
 	}
 	// The instance goes back to its idle list and a later call may
 	// relaunch it: keep this call's outcome on the handle.
-	if h.err == nil {
-		h.err = in.g.Err()
-	}
+	h.err = in.g.Err()
 	h.in = nil
 	h.c.retire(h.kind, h.seq)
 	if h.bseq >= 0 {
 		h.c.retire(KindBarrier, h.bseq)
 	}
-	h.c.unlive(h)
 	in.release()
 	return true
 }
@@ -513,32 +477,33 @@ func (h *Handle) Wait() error {
 	in := h.in // nil if already finished: Test then reports true at once
 	for !h.Test() {
 		pr.step(h.c.rt, in.o)
-		h.c.drainLive(in.o, h)
 	}
 	return h.Err()
 }
 
 // newCall admits one collective call of the given shape: it enforces
-// the age caps, allocates the call's epoch — and, when the kind's tag
-// window is about to be reentered, a resync-barrier prefix's (see the
-// package comment for the invariant) — and takes an idle instance of the
-// shape, building one on the shape's first call. It refuses while a
-// too-old call of the kind (or of the barrier kind, whose tags every
-// resync prefix shares) is still outstanding. The caller points the
+// the age caps, allocates the call's epoch — and, every resyncEvery
+// calls of a kind that does not synchronize by itself (broadcast,
+// reduce), a resync-barrier prefix's (see the package comment for the
+// invariant) — and takes an idle instance of the shape, building one on
+// the shape's first call. It refuses while a too-old call of the kind
+// (or, for a kind with resync prefixes, of the barrier kind, whose tags
+// every prefix shares) is still outstanding. The caller points the
 // instance's frame at the call's buffers before returning its handle.
 func (c *Comm) newCall(key shape, o core.Options) (*instance, error) {
 	kind := key.kind
+	resyncs := kind == KindBcast || kind == KindReduce
 	if err := c.checkAge(kind); err != nil {
 		return nil, err
 	}
-	if kind != KindBarrier {
+	if resyncs {
 		if err := c.checkAge(KindBarrier); err != nil {
 			return nil, err
 		}
 	}
 	c.prep(&o)
 	h := &Handle{c: c, kind: kind, seq: c.allocEpoch(kind), bseq: -1}
-	key.resync = kind != KindBarrier && h.seq > 0 && h.seq%resyncEvery == 0
+	key.resync = resyncs && h.seq > 0 && h.seq%resyncEvery == 0
 	in := c.acquire(key)
 	if key.resync {
 		h.bseq = c.allocEpoch(KindBarrier)
@@ -548,7 +513,6 @@ func (c *Comm) newCall(key shape, o core.Options) (*instance, error) {
 	in.h, in.o, in.epoch = h, o, h.seq%epochWindow
 	h.in = in
 	c.outstanding[kind] = append(c.outstanding[kind], h.seq)
-	c.live = append(c.live, h)
 	return in, nil
 }
 

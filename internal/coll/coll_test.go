@@ -262,10 +262,11 @@ func TestNonblockingHandle(t *testing.T) {
 
 // TestCollHandleAcrossBlocking: a started nonblocking collective must
 // keep making progress while its rank waits inside a LATER blocking
-// collective — the blocking wait loop drains compatible live handles'
-// deferred posts. Without that, rank 0's allreduce would stall at an
-// interior round (its next send sits queued, posted by nobody) while
-// ranks 1..n-1 wait for it inside Wait, and rank 0 spins in Barrier.
+// collective. The blocking wait loop's progress calls signal the
+// allreduce's receives, and each ready op posts inline from that
+// signal; if ready ops waited for their own handle's Test instead,
+// rank 0's allreduce would stall at an interior round while ranks
+// 1..n-1 wait for it inside Wait, and rank 0 spins in Barrier.
 func TestCollHandleAcrossBlocking(t *testing.T) {
 	const ranks = 4
 	w := leanWorld(ranks)

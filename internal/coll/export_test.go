@@ -9,3 +9,15 @@ func IdleInstances(c *Comm) int {
 	}
 	return n
 }
+
+// IdleResyncInstances reports how many finished instances of kind with a
+// resync-barrier prefix c keeps for relaunch.
+func IdleResyncInstances(c *Comm, kind Kind) int {
+	n := 0
+	for key, l := range c.idle {
+		if key.kind == kind && key.resync {
+			n += len(l.free)
+		}
+	}
+	return n
+}

@@ -118,7 +118,7 @@ func TestCollectiveStrandedSurvivor(t *testing.T) {
 
 // TestCollectiveMemberDiesMidFlight starts the collective while the peer
 // is alive and kills it afterwards: the parked receive is swept with
-// ErrPeerDead (or refused at deferred post time), the graph aborts its
+// ErrPeerDead (or refused when a later round posts), the graph aborts its
 // dependents, and Wait completes with a typed error.
 func TestCollectiveMemberDiesMidFlight(t *testing.T) {
 	inj := fault.New(23, 2)

@@ -175,7 +175,6 @@ func (c *Comm) acquire(key shape) *instance {
 // build constructs the graph of key's shape on this rank.
 func (c *Comm) build(key shape, l *idleList) *instance {
 	in := &instance{c: c, key: key, g: comp.NewGraph(), idle: l}
-	in.g.SetDeferOps()
 	b := &builder{in: in, n: c.rt.NumRanks(), me: c.rt.Rank()}
 	if key.resync {
 		b.entry = b.barrierRounds(true, nil)
@@ -277,9 +276,9 @@ type tagRef struct {
 }
 
 // builder assembles a shape's graph once: node helpers wrap
-// point-to-point posts in op nodes that resolve their buffer, tag,
-// options and error sink from the instance's frame at post time, and
-// deps wire the algorithm's partial order.
+// point-to-point posts in op nodes that resolve their buffer, tag and
+// options from the instance's frame at post time, and deps wire the
+// algorithm's partial order.
 type builder struct {
 	in    *instance
 	n, me int
@@ -316,8 +315,7 @@ func (b *builder) op(post func(int, []byte, int, base.Comp, core.Options) (base.
 	id := in.g.AddOp(func(cm base.Comp) base.Status {
 		st, err := post(peer, in.buf(s), in.tag(t), cm, in.o)
 		if err != nil {
-			in.h.fail(err)
-			return base.Status{State: base.Done}
+			return base.Status{State: base.Done}.WithErr(err)
 		}
 		return st
 	})

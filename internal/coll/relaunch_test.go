@@ -30,15 +30,19 @@ type outCall struct {
 // instance sees its round scratch grow and shrink between calls.
 var relaunchSizes = []int{8, 24, 1000, 8, 9000, 64, 4096, 16}
 
-// issueCall issues call i of kind on rt with a root, size and algorithm
-// that vary with i (the same on every rank), and returns its handle and
-// the check of its result.
-func issueCall(rt *lci.Runtime, kind lci.CollKind, i int) (*lci.Coll, func() error, error) {
+// issueCall issues call i of kind on rt with a root and size that vary
+// with i (the same on every rank), and returns its handle and the check
+// of its result. A non-empty forced algorithm is used for every call;
+// otherwise the algorithm varies with i too.
+func issueCall(rt *lci.Runtime, kind lci.CollKind, i int, forced string) (*lci.Coll, func() error, error) {
 	n, me := rt.NumRanks(), rt.Rank()
 	root := (i * 3) % n
 	size := relaunchSizes[(i*5)%len(relaunchSizes)]
 	elems := size / 8
 	pick := func(algs ...string) []lci.Option {
+		if forced != "" {
+			return []lci.Option{lci.WithCollAlgorithm(forced)}
+		}
 		if alg := algs[i%len(algs)]; alg != "" {
 			return []lci.Option{lci.WithCollAlgorithm(alg)}
 		}
@@ -124,92 +128,193 @@ func issueCall(rt *lci.Runtime, kind lci.CollKind, i int) (*lci.Coll, func() err
 	}
 }
 
+// Outstanding-call schedule of the relaunch tests.
+const (
+	outCalls  = 300 // > 2 × the 128-epoch tag window
+	outMax    = 31  // most handles outstanding at once
+	outAgeCap = 32  // age cap: calls this old must be finished first
+)
+
+// driveOutstanding issues outCalls calls of kind on rt (algorithm forced
+// when alg is non-empty), keeping up to outMax handles outstanding and
+// testing them in a fresh random order each round. Every result is
+// checked against its reference when its handle completes — after its
+// instance may already be serving a later call.
+func driveOutstanding(rt *lci.Runtime, rng *rand.Rand, kind lci.CollKind, alg string) error {
+	var out []outCall
+	peak := 0
+	// poll tests the outstanding handles until ready holds, checking
+	// every finished call.
+	poll := func(ready func() bool) error {
+		deadline := time.Now().Add(60 * time.Second)
+		for !ready() {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("rank %d %v %q: %d calls still outstanding after 60 s", rt.Rank(), kind, alg, len(out))
+			}
+			if rt.Progress() == 0 {
+				runtime.Gosched() // several ranks share few cores
+			}
+			rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
+			kept := out[:0]
+			for _, c := range out {
+				if !c.h.Test() {
+					kept = append(kept, c)
+					continue
+				}
+				if err := c.h.Err(); err != nil {
+					return fmt.Errorf("rank %d %v %q call %d: %w", rt.Rank(), kind, alg, c.seq, err)
+				}
+				if err := c.check(); err != nil {
+					return err
+				}
+			}
+			out = kept
+		}
+		return nil
+	}
+	for i := 0; i < outCalls; i++ {
+		err := poll(func() bool {
+			if len(out) >= outMax {
+				return false
+			}
+			for _, c := range out {
+				if c.seq <= i-outAgeCap {
+					return false
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		h, check, err := issueCall(rt, kind, i, alg)
+		if err == nil {
+			err = h.Start()
+		}
+		if err != nil {
+			return fmt.Errorf("rank %d %v %q call %d: %w", rt.Rank(), kind, alg, i, err)
+		}
+		out = append(out, outCall{seq: i, h: h, check: check})
+		peak = max(peak, len(out))
+	}
+	if err := poll(func() bool { return len(out) == 0 }); err != nil {
+		return err
+	}
+	if peak != outMax {
+		return fmt.Errorf("rank %d %v %q: peak of %d outstanding handles, want %d", rt.Rank(), kind, alg, peak, outMax)
+	}
+	return nil
+}
+
 // TestCollRelaunchOutstanding drives every kind through more than two
-// epoch windows of relaunched instances: 300 calls per kind with roots,
-// sizes and algorithms varying per call, up to 31 handles outstanding
-// at once (the age cap's limit), each rank testing its handles in its
-// own shuffled order. Every result is checked against a reference when
-// its handle completes — after its instance may already be serving a
-// later call.
+// epoch windows of relaunched instances on 4 ranks: roots, sizes and
+// algorithms vary per call, and up to 31 handles are outstanding at once
+// (the age cap's limit), each rank testing its handles in its own
+// shuffled order.
 func TestCollRelaunchOutstanding(t *testing.T) {
-	const (
-		ranks    = 4
-		calls    = 300 // > 2 × the 128-epoch tag window
-		maxOut   = 31
-		resyncAt = 32 // age cap: calls this old must be finished first
-	)
-	w := leanWorld(ranks)
+	w := leanWorld(4)
 	defer w.Close()
 	err := w.Launch(func(rt *lci.Runtime) error {
 		rng := rand.New(rand.NewPCG(uint64(rt.Rank()), 12))
 		for _, kind := range []lci.CollKind{lci.KindBarrier, lci.KindBcast, lci.KindReduce, lci.KindAllreduce, lci.KindAllgather} {
-			var out []outCall
-			peak := 0
-			// poll tests the outstanding handles in a fresh random order
-			// each round until ready holds, checking every finished call.
-			poll := func(ready func() bool) error {
-				deadline := time.Now().Add(60 * time.Second)
-				for !ready() {
-					if time.Now().After(deadline) {
-						return fmt.Errorf("rank %d %v: %d calls still outstanding after 60 s", rt.Rank(), kind, len(out))
-					}
-					if rt.Progress() == 0 {
-						runtime.Gosched() // four ranks share few cores
-					}
-					rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
-					kept := out[:0]
-					for _, c := range out {
-						if !c.h.Test() {
-							kept = append(kept, c)
-							continue
-						}
-						if err := c.h.Err(); err != nil {
-							return fmt.Errorf("rank %d %v call %d: %w", rt.Rank(), kind, c.seq, err)
-						}
-						if err := c.check(); err != nil {
-							return err
-						}
-					}
-					out = kept
-				}
-				return nil
-			}
-			for i := 0; i < calls; i++ {
-				err := poll(func() bool {
-					if len(out) >= maxOut {
-						return false
-					}
-					for _, c := range out {
-						if c.seq <= i-resyncAt {
-							return false
-						}
-					}
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				h, check, err := issueCall(rt, kind, i)
-				if err == nil {
-					err = h.Start()
-				}
-				if err != nil {
-					return fmt.Errorf("rank %d %v call %d: %w", rt.Rank(), kind, i, err)
-				}
-				out = append(out, outCall{seq: i, h: h, check: check})
-				peak = max(peak, len(out))
-			}
-			if err := poll(func() bool { return len(out) == 0 }); err != nil {
+			if err := driveOutstanding(rt, rng, kind, ""); err != nil {
 				return err
-			}
-			if peak != maxOut {
-				return fmt.Errorf("rank %d %v: peak of %d outstanding handles, want %d", rt.Rank(), kind, peak, maxOut)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollSelfSyncWindowOutstanding: allreduce and allgather carry no
+// resync-barrier prefix — finishing a call of theirs proves every rank
+// built it, which the age cap turns into the tag-reuse guarantee. Each
+// algorithm of each, on 3 and 4 ranks, crosses the 128-epoch window
+// twice with up to 31 handles outstanding and tested out of order.
+func TestCollSelfSyncWindowOutstanding(t *testing.T) {
+	for _, ranks := range []int{3, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			w := leanWorld(ranks)
+			defer w.Close()
+			err := w.Launch(func(rt *lci.Runtime) error {
+				rng := rand.New(rand.NewPCG(uint64(rt.Rank()), uint64(ranks)))
+				runs := []struct {
+					kind lci.CollKind
+					alg  string
+				}{
+					{lci.KindAllreduce, lci.CollReduceBcast},
+					{lci.KindAllreduce, lci.CollRDouble},
+					{lci.KindAllgather, lci.CollFlat},
+					{lci.KindAllgather, lci.CollRing},
+				}
+				for _, r := range runs {
+					if r.alg == lci.CollRDouble && ranks&(ranks-1) != 0 {
+						continue // recursive doubling needs a power-of-two rank count
+					}
+					if err := driveOutstanding(rt, rng, r.kind, r.alg); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCollResyncOnlyForBcastReduce: past the resync interval, only
+// broadcast and reduce have built a resync-barrier-prefixed shape; the
+// self-synchronizing kinds never do.
+func TestCollResyncOnlyForBcastReduce(t *testing.T) {
+	const calls = 70 // two resync intervals
+	_, comms := newFaultComms(t, 2, nil)
+	errs := make(chan error, len(comms))
+	for r, c := range comms {
+		go func() {
+			errs <- func() error {
+				buf := i64buf(int64(r))
+				recv := make([]byte, 8)
+				all := make([]byte, 16)
+				for i := 0; i < calls; i++ {
+					for _, call := range []func() error{
+						func() error { return c.Barrier(core.Options{}) },
+						func() error { return c.Broadcast(buf, 0, core.Options{}) },
+						func() error { return c.Reduce(buf, recv, coll.Int64, coll.Sum, 0, core.Options{}) },
+						func() error { return c.Allreduce(buf, recv, coll.Int64, coll.Sum, core.Options{}) },
+						func() error { return c.Allgather(buf, all, core.Options{}) },
+					} {
+						if err := call(); err != nil {
+							return fmt.Errorf("rank %d call %d: %w", r, i, err)
+						}
+					}
+					h, err := c.IBarrier(core.Options{})
+					if err == nil {
+						err = h.Wait()
+					}
+					if err != nil {
+						return fmt.Errorf("rank %d IBarrier %d: %w", r, i, err)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for range comms {
+		if err := watchdog(t, "resync sweep", func() error { return <-errs }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, c := range comms {
+		for _, kind := range []coll.Kind{coll.KindBarrier, coll.KindBcast, coll.KindReduce, coll.KindAllreduce, coll.KindAllgather} {
+			n := coll.IdleResyncInstances(c, kind)
+			if want := kind == coll.KindBcast || kind == coll.KindReduce; (n > 0) != want {
+				t.Errorf("rank %d %v: %d idle resync-prefixed instances, want any: %v", r, kind, n, want)
+			}
+		}
 	}
 }
 
@@ -257,9 +362,10 @@ func TestCollPoisonedHandleKeepsErr(t *testing.T) {
 }
 
 // TestCollIdleBoundedAcrossSizes: 1,000 allreduces of 1,000 distinct
-// sizes relaunch the same instances. Size is not part of the shape, so
-// each rank ends with exactly two idle instances — the plain recursive-
-// doubling graph and its resync-barrier-prefixed twin — not one per size.
+// sizes relaunch the same instance. Size is not part of the shape, and
+// allreduce never carries a resync-barrier prefix, so each rank ends
+// with exactly one idle instance — the recursive-doubling graph — not
+// one per size.
 func TestCollIdleBoundedAcrossSizes(t *testing.T) {
 	const sizes = 1000
 	_, comms := newFaultComms(t, 2, nil)
@@ -292,8 +398,8 @@ func TestCollIdleBoundedAcrossSizes(t *testing.T) {
 		}
 	}
 	for r, c := range comms {
-		if n := coll.IdleInstances(c); n != 2 {
-			t.Errorf("rank %d keeps %d idle instances after %d sizes, want 2", r, n, sizes)
+		if n := coll.IdleInstances(c); n != 1 {
+			t.Errorf("rank %d keeps %d idle instances after %d sizes, want 1", r, n, sizes)
 		}
 	}
 }
@@ -303,8 +409,8 @@ func TestCollIdleBoundedAcrossSizes(t *testing.T) {
 // interleaving is reproducible. Per rank and call, the graph is
 // relaunched, not built: what is left is the handle (one per call by
 // design, since the caller keeps it) and the core posting path's
-// per-receive bookkeeping. The average includes the resync-prefixed
-// calls, whose barrier rounds add receives.
+// per-receive bookkeeping. Allreduce carries no resync-barrier prefix,
+// so every call posts the same receives.
 func TestIAllreduceAllocs(t *testing.T) {
 	if bench.RaceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -324,8 +430,8 @@ func TestIAllreduceAllocs(t *testing.T) {
 			}
 			hs[r] = h
 		}
-		// Test both handles every round: a post that returned Retry is
-		// re-posted only by its own handle's Test.
+		// Ready ops post from whichever progress call signals them, so
+		// progress alone drives both handles; Test only observes.
 		for done := false; !done; {
 			rts[0].ProgressAll()
 			rts[1].ProgressAll()

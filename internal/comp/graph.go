@@ -17,7 +17,9 @@ import (
 //
 // Every node tracks its remaining-parent count with an atomic counter
 // (§5.1.4); a node whose count reaches zero is fired immediately by
-// whichever thread performed the final decrement.
+// whichever thread performed the final decrement — an op node posts from
+// inside that thread's Signal, so op closures must be safe to run on any
+// thread that signals the graph (a progress poller included).
 //
 // Like a CUDA graph, a Graph is built once and may be launched many
 // times: Reset re-arms a completed graph for another Start. The first
@@ -29,17 +31,9 @@ type Graph struct {
 	frozen  atomic.Bool  // set by the first Start: the DAG can no longer change
 	started atomic.Bool  // set by Start, cleared by Reset
 	pending atomic.Int64 // nodes not yet complete
-	// ready holds op nodes awaiting (re-)posting: nodes whose operations
-	// returned Retry, and — in deferred mode — nodes whose dependencies
-	// were satisfied by a Signal from another thread.
+	// ready holds op nodes whose operations returned Retry, awaiting
+	// re-posting by the next Test or Drain.
 	ready *mpmc.Queue[*graphNode]
-	// deferOps, when set before Start, queues ready op nodes instead of
-	// posting them from whichever thread performed the final dependency
-	// decrement. All posts then happen from Start/Test/Drain — i.e. from
-	// the graph owner's polling thread — so op closures may safely use
-	// single-goroutine resources (packet workers, affinity handles) even
-	// while foreign progress threads signal completions.
-	deferOps bool
 	// err latches the first node failure. Once set, dependents of the
 	// failed node complete as aborted instead of firing, so Test still
 	// converges to true and Err reports the root cause.
@@ -79,17 +73,6 @@ func (n *graphNode) Signal(st base.Status) {
 // NewGraph returns an empty completion graph.
 func NewGraph() *Graph {
 	return &Graph{ready: mpmc.NewQueue[*graphNode](64)}
-}
-
-// SetDeferOps switches the graph to deferred op firing: op nodes whose
-// dependencies are satisfied are queued and posted by the next Start,
-// Test or Drain call instead of being posted inline by the signaling
-// thread. Function nodes still run inline. Must be called before Start.
-func (g *Graph) SetDeferOps() {
-	if g.frozen.Load() {
-		panic("comp: SetDeferOps after Start")
-	}
-	g.deferOps = true
 }
 
 // AddFunc adds a node that completes when f returns. f may be nil (an
@@ -149,9 +132,6 @@ func (g *Graph) Start() {
 	}
 	for _, n := range g.roots {
 		g.fire(n)
-	}
-	if g.deferOps {
-		g.Drain()
 	}
 }
 
@@ -216,18 +196,9 @@ func (g *Graph) validate() {
 	}
 }
 
-// fire runs a node whose dependencies are satisfied. In deferred mode op
-// nodes are queued for the owner's next Start/Test/Drain instead of being
-// posted from the signaling thread.
+// fire runs a node whose dependencies are satisfied, on the calling
+// thread: a function node runs and completes, an op node posts.
 func (g *Graph) fire(n *graphNode) {
-	if n.op != nil && g.deferOps {
-		g.ready.Enqueue(n)
-		return
-	}
-	g.post(n)
-}
-
-func (g *Graph) post(n *graphNode) {
 	if n.op == nil { // function node, or an empty join node
 		if n.fn != nil {
 			n.fn()
@@ -302,10 +273,9 @@ func (g *Graph) Aborted(id NodeID) bool {
 	return n.aborted.Load()
 }
 
-// Drain posts queued op nodes: operations that previously returned Retry
-// and, in deferred mode, ops whose dependencies were satisfied since the
-// last call. Call it from the application's progress loop; it is safe to
-// call at any time, including after the graph has completed.
+// Drain re-posts the op nodes whose operations returned Retry. Call it
+// from the application's progress loop; it is safe to call at any time,
+// including after the graph has completed.
 //
 // One call makes at most one pass over the nodes queued at entry: an op
 // that returns Retry again is re-queued for the NEXT call instead of
@@ -318,7 +288,7 @@ func (g *Graph) Drain() {
 		if !ok {
 			return
 		}
-		g.post(n)
+		g.fire(n)
 	}
 }
 

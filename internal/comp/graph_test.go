@@ -233,41 +233,47 @@ func TestGraphUnreachableGuard(t *testing.T) {
 	g.Start()
 }
 
-// TestGraphDeferOps: with SetDeferOps, an op whose dependency is
-// satisfied by a foreign Signal is not posted by the signaling thread —
-// it fires on the owner's next Test/Drain.
-func TestGraphDeferOps(t *testing.T) {
+// TestGraphInlineFiring: an op whose last dependency is satisfied by a
+// foreign Signal is posted by the signaling goroutine, inside that
+// Signal call — the owner never polls in between. The op returns Retry
+// there, so it is queued, and the owner's Test re-posts it.
+func TestGraphInlineFiring(t *testing.T) {
 	g := comp.NewGraph()
-	g.SetDeferOps()
 	var parent base.Comp
-	var childPosted atomic.Bool
+	var inSignal, postedInSignal atomic.Bool
+	var posts atomic.Int64
 	p := g.AddOp(func(c base.Comp) base.Status {
 		parent = c
 		return base.Status{State: base.Posted}
 	})
 	ch := g.AddOp(func(c base.Comp) base.Status {
-		childPosted.Store(true)
+		if posts.Add(1) == 1 {
+			postedInSignal.Store(inSignal.Load())
+			return base.Status{State: base.Retry}
+		}
 		return base.Status{State: base.Done}
 	})
 	g.AddEdge(p, ch)
-	g.Start() // posts the root from this thread
+	g.Start() // posts the root from this goroutine
 	if parent == nil {
 		t.Fatal("root op not posted by Start")
 	}
-	sig := make(chan struct{})
+	sig := make(chan int64)
 	go func() {
-		defer close(sig)
-		parent.Signal(base.Status{State: base.Done}) // foreign thread
+		inSignal.Store(true)
+		parent.Signal(base.Status{State: base.Done}) // foreign goroutine
+		inSignal.Store(false)
+		sig <- posts.Load()
 	}()
-	<-sig
-	if childPosted.Load() {
-		t.Fatal("deferred child op was posted by the signaling thread")
+	if n := <-sig; n != 1 || !postedInSignal.Load() {
+		t.Fatalf("child posted %d times before the foreign Signal returned (inside it: %v), want once, inside",
+			n, postedInSignal.Load())
 	}
-	if !g.Test() { // owner's poll posts it
-		t.Fatal("graph incomplete after owner drained")
+	if !g.Test() {
+		t.Fatal("Test did not re-post the retried child")
 	}
-	if !childPosted.Load() {
-		t.Fatal("child op never posted")
+	if n := posts.Load(); n != 2 {
+		t.Fatalf("child posted %d times in total, want 2", n)
 	}
 }
 
@@ -306,17 +312,16 @@ func TestGraphResetPanicsUnlessFinished(t *testing.T) {
 }
 
 // TestGraphRelaunch: one graph — a fan-out of posted ops signaled from
-// several goroutines, joined through function nodes, in deferred-op mode
-// as the collectives run it — relaunched 1,000 times fires every node
-// exactly once per launch, and no signal of one launch leaks into the
-// next (run under -race).
+// several goroutines, joined through function nodes that fire on the
+// signaling goroutines — relaunched 1,000 times fires every node exactly
+// once per launch, and no signal of one launch leaks into the next (run
+// under -race).
 func TestGraphRelaunch(t *testing.T) {
 	const (
 		launches = 1000
 		width    = 8
 	)
 	g := comp.NewGraph()
-	g.SetDeferOps()
 	comps := make(chan base.Comp, width)
 	var fired [2*width + 2]atomic.Int64
 	root := g.AddFunc(func() { fired[0].Add(1) })

@@ -36,11 +36,10 @@ import (
 //     from the registered AM allocator (plain make by default): the
 //     handler owns it for the duration of the call, and — unless a Free
 //     hook reclaims it afterwards — may retain it.
-//   - Handlers that signal a comp.Graph node run in poller context; graphs
-//     driven this way should enable SetDeferOps so newly-ready op nodes
-//     queue to the graph owner's Start/Test/Drain instead of posting from
-//     inside the poll (the same single-threaded-resource discipline the
-//     graph-driven collectives established).
+//   - Handlers that signal a comp.Graph node fire its newly ready nodes
+//     in poller context: op nodes post from inside the poll, so they
+//     follow the rule above (DisallowRetry), the discipline the
+//     graph-driven collectives use.
 
 // handlerSlot is one remote-handler table entry. fn and epoch are read
 // lock-free on the arrival hot path; mutations go through handlerTable.mu.

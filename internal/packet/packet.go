@@ -59,10 +59,13 @@ type Pool struct {
 // normal-path get/put — acquire, bump the deque, release — is a single
 // cache-line run (§5.1.2).
 type shard struct {
-	_    spin.Pad
-	mu   spin.Lock
-	dq   mpmc.Deque[*Packet]
-	seed uint64 // per-worker xorshift state (only touched by the owner)
+	_  spin.Pad
+	mu spin.Lock
+	dq mpmc.Deque[*Packet]
+	// seed is the worker's xorshift state for picking steal victims. A
+	// Worker may serve several goroutines (a device's default worker
+	// does), so it is atomic; only the steal path touches it.
+	seed atomic.Uint64
 
 	// cached is a one-packet bounce buffer for the get-use-put cycle that
 	// dominates the eager path: the packet handed back by Put is the one
@@ -136,7 +139,7 @@ func (p *Pool) RegisterWorkerIn(dom int) *Worker {
 		})
 	}
 	idx := p.shards.Append(s)
-	s.seed = uint64(idx)*0x9e3779b97f4a7c15 + 0x1234567
+	s.seed.Store(uint64(idx)*0x9e3779b97f4a7c15 + 0x1234567)
 	p.allocated.Add(int64(p.packetsPerShard))
 	return &Worker{pool: p, shard: s, idx: idx, domain: dom}
 }
@@ -205,14 +208,15 @@ func (w *Worker) Put(pkt *Packet) {
 	s.mu.Unlock()
 }
 
-// nextRand advances the worker-local xorshift state. Only the owning
-// goroutine touches seed, so no synchronization is needed.
+// nextRand advances the worker's xorshift state. Concurrent stealers on
+// one worker may both draw the same value (a lost update); that only
+// repeats a victim choice, never corrupts the state.
 func (w *Worker) nextRand() uint64 {
-	x := w.shard.seed
+	x := w.shard.seed.Load()
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	w.shard.seed = x
+	w.shard.seed.Store(x)
 	return x
 }
 

@@ -112,3 +112,38 @@ func TestConcurrentChurnNoLoss(t *testing.T) {
 		t.Fatalf("Available = %d, want %d (packets lost or duplicated)", got, workers*32)
 	}
 }
+
+// TestSharedWorkerConcurrentSteal: one Worker serves several goroutines
+// (a device's default worker does, for every unpinned post and every
+// Progress caller), so its steal path must be safe for concurrent use.
+// Two goroutines drive Gets on a drained worker, forcing steals from a
+// second worker they keep refilling (run under -race).
+func TestSharedWorkerConcurrentSteal(t *testing.T) {
+	const quota = 16
+	p := packet.NewPool(64, quota)
+	w := p.RegisterWorker()
+	victim := p.RegisterWorker()
+	var stash []*packet.Packet
+	for i := 0; i < quota; i++ {
+		stash = append(stash, w.Get())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 5000; it++ {
+				if pkt := w.Get(); pkt != nil {
+					victim.Put(pkt)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, pkt := range stash {
+		w.Put(pkt)
+	}
+	if got := p.Available(); got != 2*quota {
+		t.Fatalf("Available = %d, want %d (packets lost or duplicated)", got, 2*quota)
+	}
+}

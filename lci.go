@@ -451,10 +451,10 @@ func (rt *Runtime) RegisterRComp(target any) RComp {
 //
 // Handler-context rules: a handler must not block or spin on progress (it
 // runs under the device's poll lock); it may post new operations, best
-// with WithNoRetry so transient failures divert to the backlog queue; and
-// a handler that signals a completion graph should have the graph's
-// deferred-ops mode enabled (Graph.SetDeferOps) so ready op nodes queue to
-// the graph owner instead of posting from poller context.
+// with WithNoRetry so transient failures divert to the backlog queue. A
+// handler that signals a completion graph fires the graph's newly ready
+// nodes right there, in poller context, so the graph's op nodes follow
+// the same rules (post with WithNoRetry).
 func (rt *Runtime) RegisterHandler(fn func(Status)) RComp {
 	return rt.core.RegisterHandler(fn)
 }

@@ -620,3 +620,38 @@ func TestBarrierMultiDeviceConcurrentProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPublicPostSendAllocs pins an option-less, inject-size public
+// PostSend at zero allocations: with no options to apply, the public
+// layer hands core a zero Options value without moving one to the heap.
+// The platform's modeled injection gap turns back-to-back posts into
+// Retry, so each run retries until its send injects; the receiver is not
+// progressed during the measurement, its pre-posted receives absorb
+// every message.
+func TestPublicPostSendAllocs(t *testing.T) {
+	const runs = 50
+	w := lci.NewWorld(2, lci.WithRuntimeConfig(core.Config{PacketsPerWorker: 8 * runs, PreRecvs: 2 * runs}))
+	defer w.Close()
+	rts := make([]*lci.Runtime, 2)
+	for r := range rts {
+		rt, err := w.NewRuntime(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		rts[r] = rt
+	}
+	buf := make([]byte, 8)
+	allocs := testing.AllocsPerRun(runs, func() {
+		st, err := rts[0].PostSend(1, buf, 7, nil)
+		for err == nil && st.IsRetry() {
+			st, err = rts[0].PostSend(1, buf, 7, nil)
+		}
+		if err != nil || !st.IsDone() {
+			t.Fatalf("status %+v, err %v; want an inject completion", st, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("option-less PostSend: %.1f allocs per post, want 0", allocs)
+	}
+}

@@ -140,6 +140,16 @@ func WithNoRetry() Option {
 }
 
 func buildOpts(opts []Option) core.Options {
+	if len(opts) == 0 {
+		return core.Options{}
+	}
+	return applyOpts(opts)
+}
+
+// applyOpts folds opts into a fresh Options. It is kept out of buildOpts
+// because the option closures make its Options escape to the heap; the
+// option-less fast path then allocates nothing.
+func applyOpts(opts []Option) core.Options {
 	var o core.Options
 	for _, f := range opts {
 		f(&o)
